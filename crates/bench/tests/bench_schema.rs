@@ -24,13 +24,6 @@ fn pr9_artifact() -> Json {
     Json::parse(&text).expect("artifact is valid workspace JSON")
 }
 
-fn pr10_artifact() -> Json {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr10.json");
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {path}: {e} (run `make bench-shard`)"));
-    Json::parse(&text).expect("artifact is valid workspace JSON")
-}
-
 fn serve_artifact() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     let text = std::fs::read_to_string(path)
@@ -163,44 +156,6 @@ fn pr9_artifact_records_the_monorepo_column() {
     let j1 = uint(&doc, &["monorepo", "stages", "parse_j1", "median_ns"]);
     let j8 = uint(&doc, &["monorepo", "stages", "parse_j8", "median_ns"]);
     assert_eq!(ratio, j1 * 100 / j8.max(1), "ratio inconsistent with recorded medians");
-}
-
-#[test]
-fn pr10_artifact_records_shard_scaling() {
-    let doc = pr10_artifact();
-    assert_eq!(string(&doc, &["schema"]), "safeflow-bench-trajectory-v1");
-    assert_eq!(uint(&doc, &["pr"]), 10);
-    assert_eq!(string(&doc, &["bench"]), "shard-scaling");
-    assert!(!string(&doc, &["label"]).is_empty());
-    assert!(uint(&doc, &["samples"]) > 0);
-    assert!(uint(&doc, &["jobs_per_worker"]) > 0);
-    assert_eq!(string(&doc, &["determinism", "class"]), "Sched");
-
-    // Same monorepo floor as the ISSUE 8 column: >=100 TUs, >=100k LOC.
-    let tus = uint(&doc, &["corpus", "tus"]);
-    assert!(tus >= 100, "shard bench needs >=100 TUs, recorded {tus}");
-    let loc = uint(&doc, &["corpus", "loc"]);
-    assert!(loc >= 100_000, "shard bench needs >=100k LOC, recorded {loc}");
-    assert!(uint(&doc, &["corpus", "files"]) >= tus);
-    assert!(uint(&doc, &["corpus", "raw_lines"]) >= loc);
-
-    // The baseline column plus the 1/2/4-worker fan-out columns.
-    for stage in ["unsharded", "shard_1", "shard_2", "shard_4"] {
-        check_stage(&doc, &["stages", stage], loc);
-    }
-
-    // Scaling ratios are recorded and consistent with the medians. They
-    // may honestly sit below parity — on a host with fewer cores than
-    // workers the fan-out is pure duplication — so the lock is on
-    // coherence, not on a speedup claim.
-    assert!(uint(&doc, &["scaling", "host_cpus"]) >= 1);
-    let one = uint(&doc, &["stages", "shard_1", "median_ns"]);
-    for (key, stage) in [("shard_2_speedup_pct", "shard_2"), ("shard_4_speedup_pct", "shard_4")] {
-        let ratio = uint(&doc, &["scaling", key]);
-        let n = uint(&doc, &["stages", stage, "median_ns"]);
-        assert!(ratio > 0);
-        assert_eq!(ratio, one * 100 / n.max(1), "{key} inconsistent with recorded medians");
-    }
 }
 
 /// Checks one latency-stats object: nonzero, coherent percentiles.

@@ -97,11 +97,16 @@ fn dot_flag_emits_graphviz() {
 
 #[test]
 fn unknown_flag_exits_2_and_prints_usage() {
-    let out = safeflow().arg("--bogus").output().expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag `--bogus`"), "{err}");
-    assert!(err.contains("USAGE"), "argument errors must print usage:\n{err}");
+    // A flag of a removed `check` feature is rejected like any other.
+    for (args, flag) in
+        [(&["--bogus"][..], "--bogus"), (&["check", "--shards", "2", "x.c"], "--shards")]
+    {
+        let out = safeflow().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(err.contains("USAGE"), "argument errors must print usage:\n{err}");
+    }
 }
 
 #[test]
@@ -210,7 +215,7 @@ fn oracle_subcommand_agrees_and_is_byte_identical_across_runs_and_jobs() {
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     let first = run("1");
-    assert!(first.contains("32 seed(s), 160 comparison(s), 0 divergence(s)"), "{first}");
+    assert!(first.contains("32 seed(s), 128 comparison(s), 0 divergence(s)"), "{first}");
     // Byte-identical across repeated runs and across worker-thread counts
     // (the single-threaded reference included — parallel lexing must not
     // perturb FileIds or diagnostic order): the oracle's own output

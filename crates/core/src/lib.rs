@@ -71,7 +71,6 @@ pub mod regions;
 pub mod report;
 pub mod restrict;
 pub mod session;
-pub mod shard;
 pub mod shmptr;
 mod store;
 pub mod summary;
@@ -232,11 +231,7 @@ impl std::error::Error for AnalysisError {
 /// bound. The default two-point policy compiles to the empty table, under
 /// which everything downstream reduces to the historical
 /// monitored/unmonitored behavior byte-for-byte.
-///
-/// The table is a pure function of `(config, module, regions)`, so shard
-/// workers compiling it independently (see [`crate::shard`]) get exactly
-/// the table the coordinator's final in-process run uses.
-pub(crate) fn compile_policy(
+fn compile_policy(
     config: &AnalysisConfig,
     module: &Module,
     regions: &RegionMap,

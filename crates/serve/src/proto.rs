@@ -234,7 +234,9 @@ pub struct Response {
     pub report_json: String,
     /// How the result was produced.
     pub run: RunKind,
-    /// Nanoseconds the request waited in the admission queue.
+    /// Nanoseconds from admission to completion: the time spent waiting
+    /// in the admission queue *plus* the run itself (`run_ns`), so the
+    /// queue wait alone is `queue_ns - run_ns`.
     pub queue_ns: u64,
     /// Nanoseconds the analysis ran (0 for replays shed, ping, ...).
     pub run_ns: u64,
