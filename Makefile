@@ -7,7 +7,7 @@
 CARGO ?= cargo
 SAFEFLOW = target/release/safeflow
 
-.PHONY: all help build test lint bench bench-frontend bench-serve smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
+.PHONY: all help build test lint bench smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
 
 # One line per target; kept in sync by hand when targets change.
 help:
@@ -16,9 +16,6 @@ help:
 	@echo "  test             cargo test -q (full suite)"
 	@echo "  lint             rustfmt --check + clippy -D warnings"
 	@echo "  bench            paper-evaluation benches (cargo bench)"
-	@echo "  bench-frontend   frontend LOC/sec trajectory -> BENCH_pr9.json"
-	@echo "                   (incl. monorepo corpus column; BENCH_ARGS overrides)"
-	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
 	@echo "  oracle-smoke     64-seed differential oracle (CI gate)"
 	@echo "  oracle-deep      512-seed oracle sweep with minimization"
@@ -46,24 +43,6 @@ lint:
 
 bench:
 	$(CARGO) bench -q -p safeflow-bench
-
-# Frontend throughput trajectory: measures parse / parse+lower+SSA /
-# end-to-end LOC/sec over the classic corpus plus the monorepo corpus
-# (146 TUs / 180k+ LOC through the conforming preprocessor) and rewrites
-# the checked-in BENCH_pr9.json artifact (schema locked by crates/bench/
-# tests/bench_schema.rs). Later flags win, so BENCH_ARGS can override the
-# output path, label, pr number, or sample count.
-bench-frontend:
-	$(CARGO) run --release -q -p safeflow-bench --bin bench-frontend -- \
-	  --out BENCH_pr9.json --pr 9 --monorepo \
-	  --label "conforming preprocessor + monorepo corpus" $(BENCH_ARGS)
-
-# Daemon latency trajectory: warm-path (store replay) vs cold-path p50/p99
-# over loopback, plus a 4x-overload shedding drill against a bounded
-# queue. Rewrites the checked-in BENCH_serve.json artifact (schema locked
-# by crates/bench/tests/bench_schema.rs).
-bench-serve:
-	$(CARGO) run --release -q -p safeflow-bench --bin bench-serve -- $(BENCH_ARGS)
 
 # Run-only targets must never fall back to a silent debug rebuild: they
 # fail fast with instructions when the release binaries are missing.

@@ -9,9 +9,14 @@
 //! * `monitor_overhead` — simulation with and without run-time taint
 //!   tracking (S2, the zero-runtime-overhead motivation in §1);
 //! * `solver` — Omega-test obligations of A1/A2 shape (S3);
-//! * `frontend` — parse + lower + SSA cost on the corpus;
 //! * `parallel_scaling` — the parallel summary engine at 1/2/4/8 threads
-//!   (P1, see DESIGN.md "Parallel engine & caching").
+//!   (P1, see DESIGN.md "Parallel engine & caching");
+//! * `incremental_warm` — cold vs warm store-backed `check`, gating the
+//!   warm replay at ≥5× faster.
+//!
+//! These are the paper-mapped experiments only. Per-layer and end-to-end
+//! performance tracking (frontend, both engines, the store, the daemon)
+//! lives in the separate `benchmark/` workspace; see `benchmark/README.md`.
 //!
 //! The harness is std-only (no criterion — the workspace builds offline):
 //! each benchmark is warmed up, then timed over enough iterations per

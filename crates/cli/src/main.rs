@@ -203,35 +203,16 @@ fn run() -> ExitCode {
             "--engine" => {
                 i += 1;
                 engine_set = true;
-                match args.get(i).map(String::as_str) {
-                    Some("summary") => engine = Engine::Summary,
-                    Some("context") | Some("context-sensitive") => {
-                        engine = Engine::ContextSensitive
-                    }
-                    other => {
-                        return usage_error(&format!(
-                            "unknown engine {other:?} (use `summary` or `context`)"
-                        ))
-                    }
+                match parse_engine(args.get(i).map(String::as_str)) {
+                    Ok(e) => engine = e,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--jobs" | "-j" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("auto") => jobs = safeflow_util::pool::default_jobs(),
-                    Some(n) => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = n,
-                        _ => {
-                            return usage_error(&format!(
-                                "--jobs takes a positive integer or `auto`, got {n:?}"
-                            ))
-                        }
-                    },
-                    None => {
-                        return usage_error(
-                            "--jobs requires an argument (a thread count or `auto`)",
-                        )
-                    }
+                match parse_jobs(args.get(i).map(String::as_str)) {
+                    Ok(n) => jobs = n,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--help" | "-h" => {
@@ -267,14 +248,7 @@ fn run() -> ExitCode {
             "serve-request/serve-frame injection sites only apply to the `serve` subcommand",
         );
     }
-    if fault_seed.is_some() || !injects.is_empty() {
-        let mut plan = match fault_seed {
-            Some((seed, rate)) => FaultPlan::seeded(seed, rate),
-            None => FaultPlan::new(),
-        };
-        for (site, key, kind) in injects {
-            plan = plan.with_fault(site, key, kind);
-        }
+    if let Some(plan) = build_fault_plan(fault_seed, injects) {
         builder = builder.fault_plan(plan);
     }
     let config = builder.build_config();
@@ -421,21 +395,9 @@ fn run_oracle(args: &[String]) -> ExitCode {
             }
             "--jobs" | "-j" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("auto") => opts.jobs = safeflow_util::pool::default_jobs(),
-                    Some(n) => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => opts.jobs = n,
-                        _ => {
-                            return usage_error(&format!(
-                                "--jobs takes a positive integer or `auto`, got {n:?}"
-                            ))
-                        }
-                    },
-                    None => {
-                        return usage_error(
-                            "--jobs requires an argument (a thread count or `auto`)",
-                        )
-                    }
+                match parse_jobs(args.get(i).map(String::as_str)) {
+                    Ok(n) => opts.jobs = n,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--help" | "-h" => {
@@ -452,6 +414,46 @@ fn run_oracle(args: &[String]) -> ExitCode {
     let report = safeflow_oracle::run(&opts);
     print!("{}", report.render());
     ExitCode::from(report.exit_code())
+}
+
+/// Parses the value of `--jobs`/`-j`: a positive thread count or `auto`.
+fn parse_jobs(arg: Option<&str>) -> Result<usize, String> {
+    match arg {
+        Some("auto") => Ok(safeflow_util::pool::default_jobs()),
+        Some(n) => match n.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("--jobs takes a positive integer or `auto`, got {n:?}")),
+        },
+        None => Err("--jobs requires an argument (a thread count or `auto`)".to_string()),
+    }
+}
+
+/// Parses the value of `--engine`.
+fn parse_engine(arg: Option<&str>) -> Result<Engine, String> {
+    match arg {
+        Some("summary") => Ok(Engine::Summary),
+        Some("context") | Some("context-sensitive") => Ok(Engine::ContextSensitive),
+        other => Err(format!("unknown engine {other:?} (use `summary` or `context`)")),
+    }
+}
+
+/// Assembles the fault plan from `--fault-seed` and the `--inject` rules;
+/// `None` when neither flag was given.
+fn build_fault_plan(
+    fault_seed: Option<(u64, f64)>,
+    injects: Vec<(FaultSite, Option<u64>, FaultKind)>,
+) -> Option<FaultPlan> {
+    if fault_seed.is_none() && injects.is_empty() {
+        return None;
+    }
+    let mut plan = match fault_seed {
+        Some((seed, rate)) => FaultPlan::seeded(seed, rate),
+        None => FaultPlan::new(),
+    };
+    for (site, key, kind) in injects {
+        plan = plan.with_fault(site, key, kind);
+    }
+    Some(plan)
 }
 
 /// Parses a `--seeds` spec: `LO..HI` (half-open) or a single seed `N`

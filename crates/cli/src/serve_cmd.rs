@@ -7,7 +7,7 @@
 //! contract.
 
 use crate::usage_error;
-use safeflow::{AnalysisConfig, Budget, Engine, FaultKind, FaultPlan, FaultSite};
+use safeflow::{AnalysisConfig, Budget, Engine, FaultKind, FaultSite};
 use safeflow_serve::{Client, Daemon, ServeOptions, Status};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -135,27 +135,16 @@ pub fn run_serve(args: &[String]) -> ExitCode {
             "--shutdown" => action_shutdown = true,
             "--engine" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("summary") => engine = Engine::Summary,
-                    Some("context") | Some("context-sensitive") => {
-                        engine = Engine::ContextSensitive
-                    }
-                    other => {
-                        return usage_error(&format!(
-                            "unknown engine {other:?} (use `summary` or `context`)"
-                        ))
-                    }
+                match crate::parse_engine(args.get(i).map(String::as_str)) {
+                    Ok(e) => engine = e,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--jobs" | "-j" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("auto") => jobs = safeflow_util::pool::default_jobs(),
-                    Some(n) => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = n,
-                        _ => return usage_error("--jobs takes a positive integer or `auto`"),
-                    },
-                    None => return usage_error("--jobs requires an argument"),
+                match crate::parse_jobs(args.get(i).map(String::as_str)) {
+                    Ok(n) => jobs = n,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--budget" => {
@@ -227,18 +216,7 @@ pub fn run_serve(args: &[String]) -> ExitCode {
              (engine sites would disable the resident store)",
         );
     }
-    let fault_plan = if fault_seed.is_some() || !injects.is_empty() {
-        let mut plan = match fault_seed {
-            Some((seed, rate)) => FaultPlan::seeded(seed, rate),
-            None => FaultPlan::new(),
-        };
-        for (site, key, kind) in injects {
-            plan = plan.with_fault(site, key, kind);
-        }
-        Some(plan)
-    } else {
-        None
-    };
+    let fault_plan = crate::build_fault_plan(fault_seed, injects);
 
     let analysis =
         AnalysisConfig::builder().engine(engine).jobs(jobs).budget(budget).build_config();

@@ -198,9 +198,22 @@ fn env_hash(
     for g in &module.globals {
         h.write_str(&g.name);
     }
+    hash_flow_config(&mut h, config);
+    h.write_str(&config.entry);
+    h.finish()
+}
+
+/// Feeds the config knobs that shape value flow into `h`: control-dependence
+/// tracking, the critical calls, the recv specs, and the normalized label
+/// policy. Shared by the summary content hash ([`env_hash`]) and the store's
+/// configuration hash, so the two cannot drift apart.
+///
+/// Lists are hashed sorted and the policy normalized: configurations that
+/// differ only in flag or declaration order are the same configuration, and
+/// a warm `safeflow check` must not miss replay over it. The builder
+/// normalizes too, but hand-built configs reach here unsorted.
+pub(crate) fn hash_flow_config(h: &mut Fnv64, config: &AnalysisConfig) {
     h.write_u8(config.track_control_dependence as u8);
-    // Sorted: list order is not semantic, and summary content hashes must
-    // agree between configs that differ only in flag order.
     let mut calls: Vec<_> = config.implicit_critical_calls.iter().collect();
     calls.sort();
     for call in calls {
@@ -215,14 +228,9 @@ fn env_hash(
         h.write_usize(spec.sock_arg);
         h.write_usize(spec.buf_arg);
     }
-    // The normalized label policy: declaration order is not semantic, but
-    // the compiled lattice (and therefore every summary) depends on the
-    // label set, the declassifier pairs, and the implicit-flow mode.
     let mut policy_bytes = Vec::new();
     config.policy.clone().normalized().encode_into(&mut policy_bytes);
     h.write(&policy_bytes);
-    h.write_str(&config.entry);
-    h.finish()
 }
 
 /// Content signature of one function: everything `summarize_function`

@@ -34,11 +34,13 @@ use crate::report::{
     Degradation, DegradationKind, DependencyKind, ErrorDependency, FlowNode, Warning,
 };
 use crate::shmptr::ShmPointers;
-use crate::taint::{TaintResults, TaintVal};
+use crate::taint::{
+    assumed_params, derives_from_assumed_param, extend_assume_scope, find_noncore_sockets,
+    finding_label, socket_is_noncore, TaintResults, TaintVal,
+};
 use safeflow_dataflow::{ControlDeps, PostDomTree};
 use safeflow_ir::{BlockId, CallGraph, Cfg, FuncId, InstId, InstKind, Module, Terminator, Value};
 use safeflow_points_to::{ObjId, PointsTo};
-use safeflow_syntax::annot::Annotation;
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
@@ -294,7 +296,9 @@ pub(crate) fn analyze_summaries(
         if func.is_shminit() || func.blocks.is_empty() {
             continue;
         }
-        assumed_of.insert(fid, own_declass(module, regions, shm, table, fid, &mut notes));
+        let mut scope = BTreeMap::new();
+        extend_assume_scope(module, regions, shm, table, fid, &mut scope, &mut notes);
+        assumed_of.insert(fid, scope);
     }
 
     // Content hashes chained bottom-up over the SCC DAG, then one cache
@@ -781,16 +785,7 @@ pub(crate) fn analyze_summaries(
             continue;
         }
         let assumed = assumed_of.get(&fid).cloned().unwrap_or_default();
-        let local_assumed_params: BTreeSet<u32> = func
-            .annotations
-            .iter()
-            .filter_map(|a| match a {
-                Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
-                    func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
-                }
-                _ => None,
-            })
-            .collect();
+        let local_assumed_params = assumed_params(func);
         for (_, inst) in func.iter_insts() {
             match &inst.kind {
                 InstKind::Load { ptr } => {
@@ -912,118 +907,6 @@ fn summary_eq(a: &Summary, b: &Summary) -> bool {
             .all(|(x, y)| x.sources == y.sources && x.critical == y.critical && x.span == y.span)
 }
 
-fn find_noncore_sockets(module: &Module, regions: &RegionMap) -> BTreeSet<safeflow_ir::GlobalId> {
-    let mut out = BTreeSet::new();
-    for fid in module.definitions() {
-        for ann in &module.function(fid).annotations {
-            if let Annotation::Noncore { target, .. } = ann {
-                if let Some(g) = module.global_by_name(target) {
-                    if regions.by_global(g).is_none() {
-                        out.insert(g);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Label attached to report findings: `None` under the default two-point
-/// policy (keeps the v1 report byte-identical), the mask's joined label
-/// name otherwise.
-fn finding_label(table: &LabelTable, mask: u64) -> Option<String> {
-    if table.is_default() {
-        None
-    } else {
-        Some(table.name_of(mask))
-    }
-}
-
-/// The declassification scope a function's own `assume(core(...))` and
-/// `assume(declassify(...))` annotations establish: region → the mask its
-/// reads carry inside this scope (`0` = fully monitored). Multiple
-/// annotations on one region meet (`&`) — monitoring only ever narrows.
-/// Must stay in lock-step with `Engine::base_ctx` in [`crate::taint`]:
-/// note strings and licensing checks feed both engines' reports.
-fn own_declass(
-    module: &Module,
-    regions: &RegionMap,
-    shm: &ShmPointers,
-    table: &LabelTable,
-    fid: FuncId,
-    notes: &mut Vec<String>,
-) -> BTreeMap<RegionId, u64> {
-    let mut declass = BTreeMap::new();
-    let func = module.function(fid);
-    for ann in &func.annotations {
-        let (fact, ptr, offset, size, to) = match ann {
-            Annotation::AssumeCore { ptr, offset, size, .. } => ("core", ptr, offset, size, None),
-            Annotation::AssumeDeclassify { ptr, offset, size, to, .. } => {
-                ("declassify", ptr, offset, size, Some(to.as_str()))
-            }
-            _ => continue,
-        };
-        let mut rids: BTreeSet<RegionId> = BTreeSet::new();
-        if let Some(g) = module.global_by_name(ptr) {
-            if let Some(r) = regions.by_global(g) {
-                rids.insert(r);
-            } else {
-                rids.extend(shm.global_regions(g).into_iter().map(|p| p.region));
-            }
-        } else if let Some(i) = func.params.iter().position(|p| p.name == *ptr) {
-            rids.extend(shm.regions_of(fid, &Value::Param(i as u32)).into_iter().map(|p| p.region));
-        }
-        if rids.is_empty() {
-            notes.push(format!(
-                "assume({fact}({ptr}, ...)) in `{}` names no known shared-memory pointer; ignored",
-                func.name
-            ));
-            continue;
-        }
-        let to_mask = match to {
-            None => 0,
-            Some(name) => match table.mask_of(name) {
-                Some(m) => m,
-                None => {
-                    notes.push(format!(
-                        "assume(declassify({ptr}, ..., {name})) in `{}` names unknown label `{name}`; ignored",
-                        func.name
-                    ));
-                    continue;
-                }
-            },
-        };
-        let off = crate::regions::eval_ann_expr(module, offset);
-        let sz = crate::regions::eval_ann_expr(module, size);
-        for rid in rids {
-            let region = regions.region(rid);
-            match (off, sz) {
-                (Some(0), Some(s)) if s as u64 == region.size => {
-                    let from = table.region_source_mask(rid.0, region.noncore);
-                    let licensed = region.label.is_none() && to_mask == 0
-                        || table.may_declassify(from, to_mask);
-                    if !licensed {
-                        notes.push(format!(
-                            "assume({fact}({ptr}, ...)) in `{}`: policy has no declassifier({}, {}); annotation is ineffective",
-                            func.name,
-                            table.name_of(from),
-                            table.name_of(to_mask)
-                        ));
-                        continue;
-                    }
-                    let e = declass.entry(rid).or_insert(to_mask);
-                    *e &= to_mask;
-                }
-                _ => notes.push(format!(
-                    "assume({fact}({ptr}, ...)) in `{}` does not span the whole region `{}` ({} bytes); annotation is ineffective",
-                    func.name, region.name, region.size
-                )),
-            }
-        }
-    }
-    declass
-}
-
 /// Loop-invariant per-function inputs to summarization.
 struct FnGraphs {
     cfg: Cfg,
@@ -1106,19 +989,7 @@ fn summarize_function(
     }
     let FnGraphs { cfg, cd, assumed } = graphs;
 
-    // Parameters covered by a local assume(core(param, ...)) or
-    // assume(declassify(param, ...)) — §3.4.3's received-buffer monitoring
-    // form: loads through them are monitored.
-    let local_assumed_params: BTreeSet<u32> = func
-        .annotations
-        .iter()
-        .filter_map(|a| match a {
-            Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
-                func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
-            }
-            _ => None,
-        })
-        .collect();
+    let local_assumed_params = assumed_params(func);
 
     let mut vals: HashMap<InstId, SymSet> = HashMap::new();
     let mut block_ctl: HashMap<BlockId, SymSet> = HashMap::new();
@@ -1396,44 +1267,4 @@ fn summarize_function(
         }
     }
     (s, converged)
-}
-
-/// Whether a pointer value derives (through field/element/cast chains)
-/// from a parameter covered by a local `assume(core(param, ...))`.
-fn derives_from_assumed_param(
-    func: &safeflow_ir::Function,
-    v: &Value,
-    assumed: &BTreeSet<u32>,
-    depth: usize,
-) -> bool {
-    if depth > 16 {
-        return false;
-    }
-    match v {
-        Value::Param(i) => assumed.contains(i),
-        Value::Inst(id) => match &func.inst(*id).kind {
-            InstKind::FieldAddr { base, .. }
-            | InstKind::ElemAddr { base, .. }
-            | InstKind::Cast { value: base, .. } => {
-                derives_from_assumed_param(func, base, assumed, depth + 1)
-            }
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
-fn socket_is_noncore(
-    func: &safeflow_ir::Function,
-    sock: &Value,
-    noncore_sockets: &BTreeSet<safeflow_ir::GlobalId>,
-) -> bool {
-    match sock {
-        Value::Inst(id) => match &func.inst(*id).kind {
-            InstKind::Load { ptr: Value::Global(g) } => noncore_sockets.contains(g),
-            InstKind::Cast { value, .. } => socket_is_noncore(func, value, noncore_sockets),
-            _ => false,
-        },
-        _ => false,
-    }
 }

@@ -367,7 +367,10 @@ pub fn analyze_taint(
 
 /// Globals annotated `noncore(...)` that are not shm regions: socket /
 /// descriptor variables for the §3.4.3 message-passing extension.
-fn find_noncore_sockets(module: &Module, regions: &RegionMap) -> BTreeSet<safeflow_ir::GlobalId> {
+pub(crate) fn find_noncore_sockets(
+    module: &Module,
+    regions: &RegionMap,
+) -> BTreeSet<safeflow_ir::GlobalId> {
     let mut out = BTreeSet::new();
     for fid in module.definitions() {
         for ann in &module.function(fid).annotations {
@@ -423,17 +426,6 @@ impl<'a> Engine<'a> {
         call.clearance.as_deref().and_then(|n| self.table.mask_of(n)).unwrap_or(0)
     }
 
-    /// The label a finding reports, under non-default policies only (the
-    /// default two-point policy keeps label-free findings for byte
-    /// identity with historical reports).
-    fn finding_label(&self, mask: u64) -> Option<String> {
-        if self.table.is_default() {
-            None
-        } else {
-            Some(self.table.name_of(mask))
-        }
-    }
-
     /// The flow-path source description for a region read at `mask`.
     fn read_source_desc(&self, region_name: &str, func_name: &str, mask: u64) -> String {
         if self.table.is_default() {
@@ -457,103 +449,16 @@ impl<'a> Engine<'a> {
         params: &[TaintVal],
     ) -> Ctx {
         let mut declass = inherited.clone();
-        let func = self.module.function(fid);
-        for ann in &func.annotations {
-            let (fact, ptr, offset, size, to) = match ann {
-                Annotation::AssumeCore { ptr, offset, size, span: _ } => {
-                    ("core", ptr, offset, size, None)
-                }
-                Annotation::AssumeDeclassify { ptr, offset, size, to, span: _ } => {
-                    ("declassify", ptr, offset, size, Some(to.as_str()))
-                }
-                _ => continue,
-            };
-            let Some(rids) = self.resolve_regions_for_name(fid, ptr) else {
-                self.notes.push(format!(
-                    "assume({fact}({ptr}, ...)) in `{}` names no known shared-memory pointer; ignored",
-                    func.name
-                ));
-                continue;
-            };
-            let to_mask = match to {
-                None => 0,
-                Some(name) => match self.table.mask_of(name) {
-                    Some(m) => m,
-                    None => {
-                        self.notes.push(format!(
-                            "assume(declassify({ptr}, ..., {name})) in `{}` names unknown label `{name}`; ignored",
-                            func.name
-                        ));
-                        continue;
-                    }
-                },
-            };
-            // Extent must span the whole region, else ineffective
-            // (§3.1: "Offset and size values should span an entire
-            // array ... otherwise, the annotation becomes ineffective").
-            let off = crate::regions::eval_ann_expr(self.module, offset);
-            let sz = crate::regions::eval_ann_expr(self.module, size);
-            for rid in rids {
-                let region = self.regions.region(rid);
-                match (off, sz) {
-                    (Some(0), Some(s)) if s as u64 == region.size => {
-                        // A declassification of a *labeled* region must be
-                        // licensed by a declared declassifier pair; the
-                        // paper's `assume(core(...))` on unlabeled regions
-                        // is always allowed.
-                        let from = self.table.region_source_mask(rid.0, region.noncore);
-                        let licensed = region.label.is_none() && to_mask == 0
-                            || self.table.may_declassify(from, to_mask);
-                        if !licensed {
-                            self.notes.push(format!(
-                                "assume({fact}({ptr}, ...)) in `{}`: policy has no declassifier({}, {}); annotation is ineffective",
-                                func.name,
-                                self.table.name_of(from),
-                                self.table.name_of(to_mask)
-                            ));
-                            continue;
-                        }
-                        let e = declass.entry(rid).or_insert(to_mask);
-                        *e &= to_mask;
-                    }
-                    _ => {
-                        self.notes.push(format!(
-                            "assume({fact}({ptr}, ...)) in `{}` does not span the whole region `{}` ({} bytes); annotation is ineffective",
-                            func.name, region.name, region.size
-                        ));
-                    }
-                }
-            }
-        }
+        extend_assume_scope(
+            self.module,
+            self.regions,
+            self.shm,
+            self.table,
+            fid,
+            &mut declass,
+            &mut self.notes,
+        );
         Ctx { declass, params: params.to_vec() }
-    }
-
-    /// Regions a pointer name refers to inside `fid`: a region global, a
-    /// global holding region pointers, or a parameter.
-    fn resolve_regions_for_name(&self, fid: FuncId, name: &str) -> Option<BTreeSet<RegionId>> {
-        if let Some(g) = self.module.global_by_name(name) {
-            if let Some(r) = self.regions.by_global(g) {
-                return Some(std::iter::once(r).collect());
-            }
-            let held: BTreeSet<RegionId> =
-                self.shm.global_regions(g).into_iter().map(|p| p.region).collect();
-            if !held.is_empty() {
-                return Some(held);
-            }
-        }
-        let func = self.module.function(fid);
-        if let Some(i) = func.params.iter().position(|p| p.name == name) {
-            let held: BTreeSet<RegionId> = self
-                .shm
-                .regions_of(fid, &Value::Param(i as u32))
-                .into_iter()
-                .map(|p| p.region)
-                .collect();
-            if !held.is_empty() {
-                return Some(held);
-            }
-        }
-        None
     }
 
     fn analyze(&mut self, fid: FuncId, ctx: Ctx) -> Taint {
@@ -623,19 +528,7 @@ impl<'a> Engine<'a> {
             (cfg, cd)
         });
 
-        // Locally-assumed objects for the §3.4.3 extension: assume core
-        // (or declassify) on a *local/param* pointer exempts loads through
-        // it in this function only.
-        let local_assumed_params: BTreeSet<u32> = func
-            .annotations
-            .iter()
-            .filter_map(|a| match a {
-                Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
-                    func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
-                }
-                _ => None,
-            })
-            .collect();
+        let local_assumed_params = assumed_params(func);
 
         let mut taints: HashMap<InstId, Taint> = HashMap::new();
         let mut block_ctl: HashMap<BlockId, Taint> = HashMap::new();
@@ -727,7 +620,7 @@ impl<'a> Engine<'a> {
                                     region: fact.region,
                                     region_name: region.name.clone(),
                                     span: inst.span,
-                                    label: self.finding_label(effective),
+                                    label: finding_label(self.table, effective),
                                 });
                                 t.join(&Taint {
                                     val: TaintVal::explicit_at(effective),
@@ -835,7 +728,7 @@ impl<'a> Engine<'a> {
                                     } else {
                                         DependencyKind::ControlOnly
                                     },
-                                    label: self.finding_label(leak),
+                                    label: finding_label(self.table, leak),
                                     flow: vt.origin.map(|orig| {
                                         FlowNode::step(
                                             format!("assert(safe({var})) reached"),
@@ -936,7 +829,7 @@ impl<'a> Engine<'a> {
                             region: fact.region,
                             region_name: region.name.clone(),
                             span: inst.span,
-                            label: self.finding_label(effective),
+                            label: finding_label(self.table, effective),
                         });
                     }
                 }
@@ -954,7 +847,7 @@ impl<'a> Engine<'a> {
                         function: func.name.clone(),
                         span: inst.span,
                         kind: DependencyKind::Data,
-                        label: self.finding_label(top),
+                        label: finding_label(self.table, top),
                         flow: Some(origin.clone()),
                     });
                 }
@@ -984,7 +877,7 @@ impl<'a> Engine<'a> {
                                     function: func.name.clone(),
                                     span: inst.span,
                                     kind: DependencyKind::Data,
-                                    label: self.finding_label(leak),
+                                    label: finding_label(self.table, leak),
                                     flow: Some(origin.clone()),
                                 });
                             }
@@ -1051,7 +944,7 @@ impl<'a> Engine<'a> {
                                 } else {
                                     DependencyKind::ControlOnly
                                 },
-                                label: self.finding_label(leak_e | leak_i),
+                                label: finding_label(self.table, leak_e | leak_i),
                                 flow: at.origin.map(|orig| {
                                     FlowNode::step(
                                         format!("passed as critical argument {argi} of `{name}`"),
@@ -1070,7 +963,7 @@ impl<'a> Engine<'a> {
                 if spec.name == name {
                     let sock_noncore = args
                         .get(spec.sock_arg)
-                        .is_some_and(|s| self.socket_is_noncore(fid, func, s, taints));
+                        .is_some_and(|s| socket_is_noncore(func, s, &self.noncore_sockets));
                     if sock_noncore {
                         if let Some(buf) = args.get(spec.buf_arg) {
                             let origin = FlowNode::source(
@@ -1130,31 +1023,172 @@ impl<'a> Engine<'a> {
         t.join(ctl_here);
         t
     }
+}
 
-    /// Whether a socket argument reads from a `noncore(...)`-annotated
-    /// descriptor global.
-    fn socket_is_noncore(
-        &self,
-        _fid: FuncId,
-        func: &Function,
-        sock: &Value,
-        _taints: &HashMap<InstId, Taint>,
-    ) -> bool {
-        match sock {
-            Value::Inst(id) => match &func.inst(*id).kind {
-                InstKind::Load { ptr: Value::Global(g) } => self.noncore_sockets.contains(g),
-                InstKind::Cast { value, .. } => self.socket_is_noncore(_fid, func, value, _taints),
-                _ => false,
+/// Extends a declassification scope with `fid`'s own `assume(core(...))`
+/// and `assume(declassify(...))` annotations: region → the mask its reads
+/// carry inside the scope (`0` = fully monitored). Multiple annotations on
+/// one region meet (`&`) — monitoring only ever narrows. Annotations that
+/// resolve to nothing, name unknown labels, lack a declassifier license, or
+/// do not span the whole region leave the scope unchanged and push a note.
+/// Both engines build their assume scopes here, so their notes agree.
+pub(crate) fn extend_assume_scope(
+    module: &Module,
+    regions: &RegionMap,
+    shm: &ShmPointers,
+    table: &LabelTable,
+    fid: FuncId,
+    declass: &mut BTreeMap<RegionId, u64>,
+    notes: &mut Vec<String>,
+) {
+    let func = module.function(fid);
+    for ann in &func.annotations {
+        let (fact, ptr, offset, size, to) = match ann {
+            Annotation::AssumeCore { ptr, offset, size, span: _ } => {
+                ("core", ptr, offset, size, None)
+            }
+            Annotation::AssumeDeclassify { ptr, offset, size, to, span: _ } => {
+                ("declassify", ptr, offset, size, Some(to.as_str()))
+            }
+            _ => continue,
+        };
+        let Some(rids) = resolve_regions_for_name(module, regions, shm, fid, ptr) else {
+            notes.push(format!(
+                "assume({fact}({ptr}, ...)) in `{}` names no known shared-memory pointer; ignored",
+                func.name
+            ));
+            continue;
+        };
+        let to_mask = match to {
+            None => 0,
+            Some(name) => match table.mask_of(name) {
+                Some(m) => m,
+                None => {
+                    notes.push(format!(
+                        "assume(declassify({ptr}, ..., {name})) in `{}` names unknown label `{name}`; ignored",
+                        func.name
+                    ));
+                    continue;
+                }
             },
-            _ => false,
+        };
+        // Extent must span the whole region, else ineffective
+        // (§3.1: "Offset and size values should span an entire
+        // array ... otherwise, the annotation becomes ineffective").
+        let off = crate::regions::eval_ann_expr(module, offset);
+        let sz = crate::regions::eval_ann_expr(module, size);
+        for rid in rids {
+            let region = regions.region(rid);
+            match (off, sz) {
+                (Some(0), Some(s)) if s as u64 == region.size => {
+                    // A declassification of a *labeled* region must be
+                    // licensed by a declared declassifier pair; the
+                    // paper's `assume(core(...))` on unlabeled regions
+                    // is always allowed.
+                    let from = table.region_source_mask(rid.0, region.noncore);
+                    let licensed = region.label.is_none() && to_mask == 0
+                        || table.may_declassify(from, to_mask);
+                    if !licensed {
+                        notes.push(format!(
+                            "assume({fact}({ptr}, ...)) in `{}`: policy has no declassifier({}, {}); annotation is ineffective",
+                            func.name,
+                            table.name_of(from),
+                            table.name_of(to_mask)
+                        ));
+                        continue;
+                    }
+                    let e = declass.entry(rid).or_insert(to_mask);
+                    *e &= to_mask;
+                }
+                _ => {
+                    notes.push(format!(
+                        "assume({fact}({ptr}, ...)) in `{}` does not span the whole region `{}` ({} bytes); annotation is ineffective",
+                        func.name, region.name, region.size
+                    ));
+                }
+            }
         }
+    }
+}
+
+/// Regions a pointer name refers to inside `fid`: a region global, a
+/// global holding region pointers, or — when no global resolves — a
+/// parameter.
+fn resolve_regions_for_name(
+    module: &Module,
+    regions: &RegionMap,
+    shm: &ShmPointers,
+    fid: FuncId,
+    name: &str,
+) -> Option<BTreeSet<RegionId>> {
+    if let Some(g) = module.global_by_name(name) {
+        if let Some(r) = regions.by_global(g) {
+            return Some(std::iter::once(r).collect());
+        }
+        let held: BTreeSet<RegionId> =
+            shm.global_regions(g).into_iter().map(|p| p.region).collect();
+        if !held.is_empty() {
+            return Some(held);
+        }
+    }
+    let func = module.function(fid);
+    if let Some(i) = func.params.iter().position(|p| p.name == name) {
+        let held: BTreeSet<RegionId> =
+            shm.regions_of(fid, &Value::Param(i as u32)).into_iter().map(|p| p.region).collect();
+        if !held.is_empty() {
+            return Some(held);
+        }
+    }
+    None
+}
+
+/// Parameters named by a local `assume(core(param, ...))` /
+/// `assume(declassify(param, ...))`: the §3.4.3 extension exempts loads
+/// through them in this function only.
+pub(crate) fn assumed_params(func: &Function) -> BTreeSet<u32> {
+    func.annotations
+        .iter()
+        .filter_map(|a| match a {
+            Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
+                func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The label a finding reports: `None` under the default two-point policy
+/// (keeps historical reports byte-identical), the mask's joined label name
+/// otherwise.
+pub(crate) fn finding_label(table: &LabelTable, mask: u64) -> Option<String> {
+    if table.is_default() {
+        None
+    } else {
+        Some(table.name_of(mask))
+    }
+}
+
+/// Whether a socket argument reads from a `noncore(...)`-annotated
+/// descriptor global.
+pub(crate) fn socket_is_noncore(
+    func: &Function,
+    sock: &Value,
+    noncore_sockets: &BTreeSet<safeflow_ir::GlobalId>,
+) -> bool {
+    match sock {
+        Value::Inst(id) => match &func.inst(*id).kind {
+            InstKind::Load { ptr: Value::Global(g) } => noncore_sockets.contains(g),
+            InstKind::Cast { value, .. } => socket_is_noncore(func, value, noncore_sockets),
+            _ => false,
+        },
+        _ => false,
     }
 }
 
 /// Whether a pointer value derives (through field/element/cast chains)
 /// from a parameter covered by a local `assume(core(param, ...))` — the
 /// §3.4.3 received-buffer monitoring form.
-fn derives_from_assumed_param(
+pub(crate) fn derives_from_assumed_param(
     func: &Function,
     v: &Value,
     assumed: &BTreeSet<u32>,

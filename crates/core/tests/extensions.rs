@@ -237,6 +237,42 @@ fn received_buffer_monitored_through_parameter() {
     );
 }
 
+/// An `assume(core(p, ...))` whose parameter `p` shadows a non-shm global
+/// of the same name resolves to the parameter in both engines: the global
+/// holds no region pointers, so the lookup falls back to the parameter and
+/// neither engine reports the annotation as naming no shm pointer.
+#[test]
+fn parameter_shadowing_non_shm_global_resolves_in_both_engines() {
+    let src = format!(
+        r#"{SHM_PRELUDE}
+        int p;
+        float readit(Blk *p)
+        /** SafeFlow Annotation assume(core(p, 0, sizeof(Blk))) */
+        {{
+            return p->value;
+        }}
+        int main() {{
+            float out;
+            initShm();
+            out = readit(shared);
+            /** SafeFlow Annotation assert(safe(out)) */
+            send(out);
+            return 0;
+        }}
+        "#
+    );
+    let results = analyze_both(&src);
+    for (engine, result) in &results {
+        assert!(
+            !result.report.init_check.iter().any(|n| n.contains("no known shared-memory pointer")),
+            "{engine:?}: `p` must resolve to the parameter:\n{}",
+            result.render()
+        );
+    }
+    let (context, summary) = (&results[0].1, &results[1].1);
+    assert_eq!(context.report.init_check, summary.report.init_check);
+}
+
 /// §2 operational rules: writes by the core never change region status —
 /// "Writes to a shared variable ... does not modify the truth values of
 /// core(Si) and noncore(Si)" — so write-then-read of a noncore region is

@@ -1,7 +1,7 @@
 //! Monorepo-scale workload generator: hundreds of translation units,
 //! 100k+ LOC, deep shared-header call graphs, and config-macro
-//! conditionals — the stress corpus behind the `bench-frontend` monorepo
-//! column and the monorepo benchmark workloads.
+//! conditionals — the stress corpus behind the `monorepo-cold` and
+//! `monorepo-edit` benchmark workloads (`benchmark/README.md`).
 //!
 //! The layout imitates generated embedded control code organized as a
 //! monorepo:
