@@ -415,6 +415,10 @@ pub(crate) fn analyze_summaries(
         }
         let mut local: HashMap<FuncId, Summary> = HashMap::new();
         let mut local_graphs: HashMap<FuncId, FnGraphs> = HashMap::new();
+        // A singleton SCC without a self-edge never reads its own summary,
+        // so a confirming second round would be byte-identical: it is
+        // converged after the first. Recursive SCCs iterate to fixpoint.
+        let recursive = callgraph.is_recursive(scc[0]);
         let mut changed = true;
         let mut rounds = 0;
         let mut summarize_calls = 0u64;
@@ -458,7 +462,7 @@ pub(crate) fn analyze_summaries(
                 let prev = local.get(&fid);
                 if prev.map(|p| !summary_eq(p, &s)).unwrap_or(true) {
                     local.insert(fid, s);
-                    changed = true;
+                    changed = recursive;
                 }
             }
         }

@@ -101,6 +101,57 @@ fn tiny_fixpoint_budget_degrades_with_exit_4() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Fixpoint rounds: only recursion iterates
+// ---------------------------------------------------------------------------
+
+/// `fact` calls itself and `even`/`odd` form one SCC; `scaled`, `offset`
+/// and `main` are non-recursive callers (of `gain`, `scaled`, `offset`).
+/// The program is loop-free and the non-recursive bodies compute only
+/// constants, so each of them converges in a single *local* pass too: a
+/// budget degradation of one of them could only come from an SCC-level
+/// confirming round.
+const RECURSION: &str = r#"
+    int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }
+    int odd(int n);
+    int even(int n) { if (n == 0) return 1; return odd(n - 1); }
+    int odd(int n) { if (n == 0) return 0; return even(n - 1); }
+    int gain(void) { return 3; }
+    int scaled(void) { return gain() * 4; }
+    int offset(void) { return scaled() + gain(); }
+    int main() { return offset(); }
+"#;
+
+#[test]
+fn non_recursive_sccs_summarize_once_and_recursive_ones_iterate() {
+    for jobs in [1, 4] {
+        let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(jobs));
+        analyzer.analyze_source("recursion.c", RECURSION).expect("analyzes");
+        let work = analyzer.last_metrics().work;
+        // One call each for the 4 non-recursive definitions; `fact` needs
+        // a second, confirming round (2 calls) and the `even`/`odd` pair
+        // two rounds of two members (4 calls).
+        assert_eq!(work["summary.summarize_calls"], 4 + 2 + 4, "jobs={jobs}");
+        assert_eq!(work["summary.fixpoint_rounds"], 4 + 2 + 2, "jobs={jobs}");
+    }
+}
+
+#[test]
+fn one_round_budget_degrades_exactly_the_recursive_members() {
+    let budget = Budget { fixpoint_rounds: Some(1), ..Budget::unlimited() };
+    let config = AnalysisConfig::with_engine(Engine::Summary).with_budget(budget);
+    let report =
+        Analyzer::new(config).analyze_source("recursion.c", RECURSION).expect("analyzes").report;
+    assert!(report.degradations.iter().all(|d| d.kind == DegradationKind::BudgetExhausted));
+    let degraded: Vec<Vec<String>> =
+        report.degradations.iter().map(|d| d.functions.clone()).collect();
+    assert_eq!(
+        degraded,
+        vec![vec!["even".to_string(), "odd".to_string()], vec!["fact".to_string()]]
+    );
+    assert_eq!(report.exit_code(), 4);
+}
+
 #[test]
 fn injected_solver_exhaustion_marks_bounds_unproven() {
     // Exhaust the solver step pool everywhere: A1 obligations degrade to

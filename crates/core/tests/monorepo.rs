@@ -3,8 +3,9 @@
 //! parallel parse, lower, analyze — with byte-identical reports at every
 //! `--jobs` value, like every other corpus program.
 
-use safeflow::{AnalysisConfig, Analyzer};
+use safeflow::{AnalysisConfig, Analyzer, Engine};
 use safeflow_corpus::monorepo::{generate_monorepo, total_loc, MonorepoParams};
+use safeflow_ir::CallGraph;
 use safeflow_syntax::pp::VirtualFs;
 
 /// A mid-size monorepo: big enough to exercise cross-package call depth
@@ -86,4 +87,29 @@ fn config_macros_select_real_code() {
     let a = parse(&to_fs(&base));
     let b = parse(&to_fs(&flipped));
     assert_ne!(a, b, "CFG_FEATURE_0 must gate real program text");
+}
+
+/// Work-counter ratchet: exact, deterministic counts (never wall-clock)
+/// that fail on unexplained growth of the summary engine's work.
+#[test]
+fn summary_engine_work_counts_are_exact() {
+    let (fs, _) = load(medium());
+    let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(2));
+    let result = analyzer.analyze_program("main.c", &fs).expect("monorepo must analyze");
+    let metrics = analyzer.last_metrics();
+    let module = &result.module;
+    let callgraph = CallGraph::build(module);
+    assert!(
+        module.definitions().all(|f| !callgraph.is_recursive(f)),
+        "the monorepo corpus is recursion-free; the counts below assume it"
+    );
+    let summarizable = module
+        .definitions()
+        .map(|f| module.function(f))
+        .filter(|f| !f.is_shminit() && !f.blocks.is_empty())
+        .count() as u64;
+    // Non-recursive SCCs converge in one round: one summarize call each.
+    assert_eq!(metrics.work["summary.summarize_calls"], summarizable);
+    let members: usize = callgraph.sccs.iter().map(Vec::len).sum();
+    assert_eq!(metrics.counters["engine.functions_hashed"], members as u64);
 }

@@ -222,17 +222,34 @@ pub enum InstKind {
 impl InstKind {
     /// Operands read by this instruction.
     pub fn operands(&self) -> Vec<&Value> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on each operand read by this instruction, in
+    /// [`InstKind::operands`] order, without allocating.
+    pub fn for_each_operand<'a>(&'a self, mut f: impl FnMut(&'a Value)) {
         match self {
-            InstKind::Alloca { .. } => vec![],
-            InstKind::Load { ptr } => vec![ptr],
-            InstKind::Store { ptr, value } => vec![ptr, value],
-            InstKind::FieldAddr { base, .. } => vec![base],
-            InstKind::ElemAddr { base, index } => vec![base, index],
-            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-            InstKind::Cast { value, .. } => vec![value],
-            InstKind::Call { args, .. } => args.iter().collect(),
-            InstKind::Phi { incoming } => incoming.iter().map(|(_, v)| v).collect(),
-            InstKind::AssertSafe { value, .. } => vec![value],
+            InstKind::Alloca { .. } => {}
+            InstKind::Load { ptr } => f(ptr),
+            InstKind::Store { ptr, value } => {
+                f(ptr);
+                f(value);
+            }
+            InstKind::FieldAddr { base, .. } => f(base),
+            InstKind::ElemAddr { base, index } => {
+                f(base);
+                f(index);
+            }
+            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            InstKind::Cast { value, .. } => f(value),
+            InstKind::Call { args, .. } => args.iter().for_each(f),
+            InstKind::Phi { incoming } => incoming.iter().for_each(|(_, v)| f(v)),
+            InstKind::AssertSafe { value, .. } => f(value),
         }
     }
 
@@ -629,6 +646,9 @@ mod tests {
             args: vec![Value::i32(1), Value::i32(9)],
         };
         assert_eq!(call.operands().len(), 2);
+        let mut visited = Vec::new();
+        call.for_each_operand(|v| visited.push(v.clone()));
+        assert_eq!(visited, vec![Value::i32(1), Value::i32(9)]);
         assert!(call.has_side_effects());
         assert!(!k.has_side_effects());
     }
