@@ -7,6 +7,12 @@
 CARGO ?= cargo
 SAFEFLOW = target/release/safeflow
 
+# Scratch directory of `smoke` and `policy-smoke`: one fresh `mktemp -d`
+# per make invocation, created the first time a recipe expands it, so
+# concurrent runs never share files. It is removed when the run passes and
+# kept for inspection when a step fails.
+SMOKE_TMP = $(eval SMOKE_TMP := $(shell mktemp -d "$${TMPDIR:-/tmp}/safeflow-smoke.XXXXXX"))$(SMOKE_TMP)
+
 .PHONY: all help build test lint bench smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
 
 # One line per target; kept in sync by hand when targets change.
@@ -102,19 +108,20 @@ oracle-deep: require-release
 # same commands by hand after an intentional report change.
 policy-smoke: require-release
 	$(SAFEFLOW) --implicit-flow strict examples/policy/mixed_criticality.c \
-	  > /tmp/safeflow-policy-strict.txt; test $$? -eq 2
-	cmp /tmp/safeflow-policy-strict.txt tests/policy-goldens/strict.txt
+	  > $(SMOKE_TMP)/policy-strict.txt; test $$? -eq 2
+	cmp $(SMOKE_TMP)/policy-strict.txt tests/policy-goldens/strict.txt
 	$(SAFEFLOW) --implicit-flow taint-only examples/policy/mixed_criticality.c \
-	  > /tmp/safeflow-policy-taint-only.txt; test $$? -eq 2
-	cmp /tmp/safeflow-policy-taint-only.txt tests/policy-goldens/taint-only.txt
+	  > $(SMOKE_TMP)/policy-taint-only.txt; test $$? -eq 2
+	cmp $(SMOKE_TMP)/policy-taint-only.txt tests/policy-goldens/taint-only.txt
 	$(SAFEFLOW) --implicit-flow report-separately examples/policy/mixed_criticality.c \
-	  > /tmp/safeflow-policy-separate.txt; test $$? -eq 2
-	cmp /tmp/safeflow-policy-separate.txt tests/policy-goldens/report-separately.txt
+	  > $(SMOKE_TMP)/policy-separate.txt; test $$? -eq 2
+	cmp $(SMOKE_TMP)/policy-separate.txt tests/policy-goldens/report-separately.txt
 	$(SAFEFLOW) --implicit-flow report-separately --format json \
 	  examples/policy/mixed_criticality.c \
 	  | sed '/^  "metrics": {$$/,$$d' \
-	  > /tmp/safeflow-policy-separate.json
-	cmp /tmp/safeflow-policy-separate.json tests/policy-goldens/report-separately.json
+	  > $(SMOKE_TMP)/policy-separate.json
+	cmp $(SMOKE_TMP)/policy-separate.json tests/policy-goldens/report-separately.json
+	$(if $(filter smoke,$(MAKECMDGOALS)),,rm -rf $(SMOKE_TMP))
 	@echo "policy-smoke OK: all three implicit-flow modes match their goldens"
 
 # Lint + build + test + determinism at two thread counts: the summary
@@ -123,29 +130,29 @@ policy-smoke: require-release
 # sections stripped, is covered by crates/core/tests/observability.rs.)
 smoke: lint build test oracle-smoke serve-smoke policy-smoke
 	@$(MAKE) --no-print-directory require-release
-	$(SAFEFLOW) --engine summary --jobs 1 --fig2 > /tmp/safeflow-smoke-j1.txt || true
-	$(SAFEFLOW) --engine summary --jobs 8 --fig2 > /tmp/safeflow-smoke-j8.txt || true
-	cmp /tmp/safeflow-smoke-j1.txt /tmp/safeflow-smoke-j8.txt
-	$(SAFEFLOW) --engine summary --jobs 1 --table1 > /tmp/safeflow-smoke-t1-j1.txt
-	$(SAFEFLOW) --engine summary --jobs 8 --table1 > /tmp/safeflow-smoke-t1-j8.txt
-	cmp /tmp/safeflow-smoke-t1-j1.txt /tmp/safeflow-smoke-t1-j8.txt
+	$(SAFEFLOW) --engine summary --jobs 1 --fig2 > $(SMOKE_TMP)/j1.txt || true
+	$(SAFEFLOW) --engine summary --jobs 8 --fig2 > $(SMOKE_TMP)/j8.txt || true
+	cmp $(SMOKE_TMP)/j1.txt $(SMOKE_TMP)/j8.txt
+	$(SAFEFLOW) --engine summary --jobs 1 --table1 > $(SMOKE_TMP)/t1-j1.txt
+	$(SAFEFLOW) --engine summary --jobs 8 --table1 > $(SMOKE_TMP)/t1-j8.txt
+	cmp $(SMOKE_TMP)/t1-j1.txt $(SMOKE_TMP)/t1-j8.txt
 	# Degradation contract: a fault-injected run (panic in SCC 0's task)
 	# must stay deterministic across thread counts and exit 3.
-	$(SAFEFLOW) --engine summary --inject scc:0 --jobs 1 --fig2 > /tmp/safeflow-smoke-fault-j1.txt; \
+	$(SAFEFLOW) --engine summary --inject scc:0 --jobs 1 --fig2 > $(SMOKE_TMP)/fault-j1.txt; \
 	  test $$? -eq 3
-	$(SAFEFLOW) --engine summary --inject scc:0 --jobs 8 --fig2 > /tmp/safeflow-smoke-fault-j8.txt; \
+	$(SAFEFLOW) --engine summary --inject scc:0 --jobs 8 --fig2 > $(SMOKE_TMP)/fault-j8.txt; \
 	  test $$? -eq 3
-	cmp /tmp/safeflow-smoke-fault-j1.txt /tmp/safeflow-smoke-fault-j8.txt
+	cmp $(SMOKE_TMP)/fault-j1.txt $(SMOKE_TMP)/fault-j8.txt
 	# Incremental sessions: a warm no-change `check` run against a store
 	# must replay the cold run's report byte-for-byte at any --jobs.
-	rm -rf /tmp/safeflow-smoke-store /tmp/safeflow-smoke-src
-	mkdir -p /tmp/safeflow-smoke-src
-	cp examples/incremental/core.c examples/incremental/util.c /tmp/safeflow-smoke-src/
-	cd /tmp/safeflow-smoke-src && $(CURDIR)/$(SAFEFLOW) check core.c util.c \
-	  --store /tmp/safeflow-smoke-store --jobs 1 > /tmp/safeflow-smoke-cold.txt; test $$? -eq 2
-	cd /tmp/safeflow-smoke-src && $(CURDIR)/$(SAFEFLOW) check core.c util.c \
-	  --store /tmp/safeflow-smoke-store --jobs 8 > /tmp/safeflow-smoke-warm.txt; test $$? -eq 2
-	cmp /tmp/safeflow-smoke-cold.txt /tmp/safeflow-smoke-warm.txt
+	mkdir -p $(SMOKE_TMP)/src
+	cp examples/incremental/core.c examples/incremental/util.c $(SMOKE_TMP)/src/
+	cd $(SMOKE_TMP)/src && $(CURDIR)/$(SAFEFLOW) check core.c util.c \
+	  --store $(SMOKE_TMP)/store --jobs 1 > $(SMOKE_TMP)/cold.txt; test $$? -eq 2
+	cd $(SMOKE_TMP)/src && $(CURDIR)/$(SAFEFLOW) check core.c util.c \
+	  --store $(SMOKE_TMP)/store --jobs 8 > $(SMOKE_TMP)/warm.txt; test $$? -eq 2
+	cmp $(SMOKE_TMP)/cold.txt $(SMOKE_TMP)/warm.txt
+	rm -rf $(SMOKE_TMP)
 	@echo "smoke OK: reports byte-identical at --jobs 1 and --jobs 8 (incl. fault-injected + warm replay)"
 
 # Reproduce the paper's Table 1 with the observability layer on: per-phase

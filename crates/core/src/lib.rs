@@ -89,7 +89,7 @@ pub use safeflow_util::json::Json;
 pub use safeflow_util::metrics::MetricsSnapshot;
 pub use session::{AnalysisSession, SessionOutcome, SessionRun};
 
-use safeflow_ir::{build_module, CallGraph, Module};
+use safeflow_ir::{lower, ssa, CallGraph, Module};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::{Diagnostics, SourceMap, VirtualFs};
 use safeflow_util::metrics::{Class, Metrics};
@@ -421,17 +421,23 @@ impl Analyzer {
         main_name: &str,
         fs: &VirtualFs,
     ) -> Result<AnalysisResult, AnalysisError> {
-        let parsed = safeflow_syntax::parse_program_jobs(main_name, fs, self.config.jobs.max(1));
+        // The frontend phases are timed into the same registry as the
+        // analysis phases that follow.
+        let metrics = Metrics::new();
+        let jobs = self.config.jobs.max(1);
+        let parsed = metrics
+            .time("phase.parse", || safeflow_syntax::parse_program_jobs(main_name, fs, jobs));
         let mut diags = parsed.diags;
         let sources = parsed.sources;
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        let module = build_module(&parsed.unit, &mut diags);
+        let mut module = metrics.time("phase.lower", || lower::lower(&parsed.unit, &mut diags));
+        metrics.time("phase.ssa", || ssa::promote_module_jobs(&mut module, jobs));
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        let report = self.analyze_module(&module, &mut diags);
+        let report = self.analyze_module_into(&module, &mut diags, metrics);
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
@@ -447,7 +453,17 @@ impl Analyzer {
     pub fn analyze_module(&self, module: &Module, diags: &mut Diagnostics) -> AnalysisReport {
         // Fresh registry per run: `work`-class counters must reflect this
         // run's cache state alone (see `safeflow_util::metrics`).
-        let metrics = Metrics::new();
+        self.analyze_module_into(module, diags, Metrics::new())
+    }
+
+    /// [`Analyzer::analyze_module`] recording into `metrics`, a registry
+    /// fresh for this run apart from the frontend phases' timings.
+    fn analyze_module_into(
+        &self,
+        module: &Module,
+        diags: &mut Diagnostics,
+        metrics: Metrics,
+    ) -> AnalysisReport {
         metrics.add_many(Class::Counter, &[("module.functions", module.functions.len() as u64)]);
         // One wall-clock deadline for the whole run (the only
         // machine-dependent budget; determinism tests never set it).

@@ -5,7 +5,9 @@
 
 use safeflow::{AnalysisConfig, Analyzer, Engine};
 use safeflow_corpus::monorepo::{generate_monorepo, total_loc, MonorepoParams};
-use safeflow_ir::CallGraph;
+use safeflow_ir::verify::verify_module;
+use safeflow_ir::{lower, ssa, CallGraph, InstKind, Module};
+use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::pp::VirtualFs;
 
 /// A mid-size monorepo: big enough to exercise cross-package call depth
@@ -112,4 +114,44 @@ fn summary_engine_work_counts_are_exact() {
     assert_eq!(metrics.work["summary.summarize_calls"], summarizable);
     let members: usize = callgraph.sccs.iter().map(Vec::len).sum();
     assert_eq!(metrics.counters["engine.functions_hashed"], members as u64);
+}
+
+/// The medium preset lowered to (not yet promoted) IR.
+fn lowered_medium() -> Module {
+    let (fs, _) = load(medium());
+    let parsed = safeflow_syntax::parse_program_jobs("main.c", &fs, 1);
+    assert!(!parsed.diags.has_errors(), "monorepo must preprocess cleanly");
+    let mut diags = Diagnostics::new();
+    let module = lower::lower(&parsed.unit, &mut diags);
+    assert!(!diags.has_errors(), "monorepo must lower cleanly");
+    module
+}
+
+/// SSA construction runs per function on the pool; the IR (and hence every
+/// content hash built from it) must not depend on the worker count. The
+/// exact counts extend the work ratchet to the frontend.
+#[test]
+fn ssa_is_identical_across_thread_counts_and_its_counts_are_exact() {
+    let lowered = lowered_medium();
+    let mut reference = lowered.clone();
+    let promoted = ssa::promote_module_jobs(&mut reference, 1);
+    assert!(verify_module(&reference).is_empty(), "{:?}", verify_module(&reference));
+    for jobs in [2usize, 8] {
+        let mut module = lowered.clone();
+        assert_eq!(ssa::promote_module_jobs(&mut module, jobs), promoted, "jobs={jobs}");
+        assert!(module.functions == reference.functions, "SSA IR diverged at jobs={jobs}");
+    }
+
+    // Recorded before SSA construction went linear and per-function; the
+    // rewrite had to reproduce them exactly.
+    let insts: usize = reference.functions.iter().map(|f| f.insts.len()).sum();
+    let phis = reference
+        .functions
+        .iter()
+        .flat_map(|f| &f.insts)
+        .filter(|i| matches!(i.kind, InstKind::Phi { .. }))
+        .count();
+    assert_eq!(insts, 8_335, "ir.insts");
+    assert_eq!(promoted, 263, "promoted slots");
+    assert_eq!(phis, 492, "φ count");
 }

@@ -89,6 +89,16 @@ fn warm_cache_preserves_counters_and_moves_work_to_hits() {
     }
 }
 
+#[test]
+fn frontend_phases_are_timed_next_to_the_analysis_phases() {
+    let (_, snapshot) = run_once(Engine::Summary, 2, "figure2.c", figure2_example());
+    for phase in ["phase.parse", "phase.lower", "phase.ssa", "phase.regions", "phase.value_flow"] {
+        assert!(snapshot.timings_ns.contains_key(phase), "{phase} missing from timings_ns");
+    }
+    // Timings only: the frontend adds nothing to the deterministic sections.
+    assert!(!snapshot.counters.keys().chain(snapshot.work.keys()).any(|k| k.starts_with("phase.")));
+}
+
 /// Removes the named sections from the document's `metrics` object, plus
 /// any listed top-level keys.
 fn strip(doc: &mut Json, metric_sections: &[&str], top_level: &[&str]) {

@@ -6,7 +6,8 @@
 //! SCC condensation.
 //!
 //! Pipeline: [`lower::lower`] (AST → IR) → [`ssa::promote_module`]
-//! (mem2reg) → analyses ([`mod@cfg`], [`dom`], [`loops`], [`callgraph`]).
+//! (mem2reg; [`ssa::promote_module_jobs`] runs it per function on the
+//! worker pool) → analyses ([`mod@cfg`], [`dom`], [`loops`], [`callgraph`]).
 //!
 //! # Examples
 //!
@@ -49,7 +50,14 @@ use safeflow_syntax::TranslationUnit;
 
 /// Convenience: lowers `unit` and promotes to SSA in one call.
 pub fn build_module(unit: &TranslationUnit, diags: &mut Diagnostics) -> Module {
+    build_module_jobs(unit, diags, 1)
+}
+
+/// [`build_module`] with SSA construction spread over `jobs` worker
+/// threads ([`ssa::promote_module_jobs`]); the module is identical for
+/// every `jobs` value.
+pub fn build_module_jobs(unit: &TranslationUnit, diags: &mut Diagnostics, jobs: usize) -> Module {
     let mut m = lower::lower(unit, diags);
-    ssa::promote_module(&mut m);
+    ssa::promote_module_jobs(&mut m, jobs);
     m
 }

@@ -253,19 +253,29 @@ impl InstKind {
         }
     }
 
-    /// Mutable operand access (used by SSA rewriting).
-    pub fn operands_mut(&mut self) -> Vec<&mut Value> {
+    /// Calls `f` on each operand read by this instruction, mutably, in
+    /// [`InstKind::operands`] order, without allocating.
+    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Value)) {
         match self {
-            InstKind::Alloca { .. } => vec![],
-            InstKind::Load { ptr } => vec![ptr],
-            InstKind::Store { ptr, value } => vec![ptr, value],
-            InstKind::FieldAddr { base, .. } => vec![base],
-            InstKind::ElemAddr { base, index } => vec![base, index],
-            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-            InstKind::Cast { value, .. } => vec![value],
-            InstKind::Call { args, .. } => args.iter_mut().collect(),
-            InstKind::Phi { incoming } => incoming.iter_mut().map(|(_, v)| v).collect(),
-            InstKind::AssertSafe { value, .. } => vec![value],
+            InstKind::Alloca { .. } => {}
+            InstKind::Load { ptr } => f(ptr),
+            InstKind::Store { ptr, value } => {
+                f(ptr);
+                f(value);
+            }
+            InstKind::FieldAddr { base, .. } => f(base),
+            InstKind::ElemAddr { base, index } => {
+                f(base);
+                f(index);
+            }
+            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            InstKind::Cast { value, .. } => f(value),
+            InstKind::Call { args, .. } => args.iter_mut().for_each(f),
+            InstKind::Phi { incoming } => incoming.iter_mut().for_each(|(_, v)| f(v)),
+            InstKind::AssertSafe { value, .. } => f(value),
         }
     }
 
@@ -321,21 +331,30 @@ impl Terminator {
 
     /// Values read by the terminator.
     pub fn operands(&self) -> Vec<&Value> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on each value read by the terminator, in
+    /// [`Terminator::operands`] order, without allocating.
+    pub fn for_each_operand<'a>(&'a self, mut f: impl FnMut(&'a Value)) {
         match self {
-            Terminator::CondBr { cond, .. } => vec![cond],
-            Terminator::Switch { value, .. } => vec![value],
-            Terminator::Ret(Some(v)) => vec![v],
-            _ => vec![],
+            Terminator::CondBr { cond, .. } => f(cond),
+            Terminator::Switch { value, .. } => f(value),
+            Terminator::Ret(Some(v)) => f(v),
+            _ => {}
         }
     }
 
-    /// Mutable access to values read by the terminator.
-    pub fn operands_mut(&mut self) -> Vec<&mut Value> {
+    /// Calls `f` on each value read by the terminator, mutably, in
+    /// [`Terminator::operands`] order, without allocating.
+    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Value)) {
         match self {
-            Terminator::CondBr { cond, .. } => vec![cond],
-            Terminator::Switch { value, .. } => vec![value],
-            Terminator::Ret(Some(v)) => vec![v],
-            _ => vec![],
+            Terminator::CondBr { cond, .. } => f(cond),
+            Terminator::Switch { value, .. } => f(value),
+            Terminator::Ret(Some(v)) => f(v),
+            _ => {}
         }
     }
 }

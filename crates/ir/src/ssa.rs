@@ -8,25 +8,43 @@
 //!
 //! Standard algorithm: iterated dominance frontiers for φ placement
 //! (Cytron et al.), then a renaming walk over the dominator tree.
+//!
+//! Every table is indexed densely — slots by promotion order, blocks and
+//! instructions by id — and each block keeps its own φ list, so the pass
+//! is linear in the function's instructions plus the φs it places (the
+//! dominance-frontier walk aside). Functions are independent:
+//! [`promote_module_jobs`] promotes each one as its own task on the worker
+//! pool, and the IR it produces is identical for every `jobs` value.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::module::*;
 use crate::types::Type;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Mutex;
 
 /// Promotes eligible allocas in every defined function of `module`.
 ///
 /// Returns the total number of promoted slots.
 pub fn promote_module(module: &mut Module) -> usize {
-    let ids: Vec<FuncId> = module.definitions().collect();
-    let mut total = 0;
-    for id in ids {
-        let func = module.function_mut(id);
-        total += promote_to_ssa(func);
-    }
-    total
+    promote_module_jobs(module, 1)
 }
+
+/// [`promote_module`] with each function promoted as its own task on
+/// `jobs` worker threads. The result does not depend on `jobs`: functions
+/// share nothing, and each one is promoted exactly as [`promote_to_ssa`]
+/// would on its own.
+pub fn promote_module_jobs(module: &mut Module, jobs: usize) -> usize {
+    let cells: Vec<Mutex<&mut Function>> =
+        module.functions.iter_mut().filter(|f| f.is_definition).map(Mutex::new).collect();
+    safeflow_util::pool::run_map(jobs.max(1), cells.len(), |i| {
+        promote_to_ssa(&mut cells[i].lock().expect("each cell is locked by its one task only"))
+    })
+    .into_iter()
+    .sum()
+}
+
+/// Sentinel in the instruction → slot table: not a promotable alloca.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Promotes eligible allocas in `func` to SSA values. Returns how many
 /// slots were promoted.
@@ -38,253 +56,262 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     if func.blocks.is_empty() {
         return 0;
     }
-    clear_unreachable_blocks(func);
-    let cfg = Cfg::build(func);
-    let dom = DomTree::build(&cfg);
-
-    let promotable = find_promotable(func);
-    if promotable.is_empty() {
+    let mut cfg = Cfg::build(func);
+    if clear_unreachable_blocks(func, &cfg) {
+        // Cleared blocks lost their out-edges, and with them their place
+        // among the predecessors of reachable blocks.
+        cfg = Cfg::build(func);
+    }
+    let (slot_of, slots) = find_promotable(func);
+    if slots.is_empty() {
         return 0;
     }
+    let dom = DomTree::build(&cfg);
+    let slot = |v: &Value| match v {
+        Value::Inst(id) => match slot_of.get(id.0 as usize) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
+        },
+        _ => None,
+    };
 
     // ---- φ placement ----------------------------------------------------
-    // def_blocks[a] = blocks storing to alloca a. Ordered maps/sets
-    // throughout: φ ids are allocated (and φs prepended to blocks) in
-    // iteration order, and the summary cache content-hashes the IR, so the
-    // construction must be reproducible run to run.
-    let mut def_blocks: BTreeMap<InstId, BTreeSet<BlockId>> = BTreeMap::new();
+    // defs[s] = blocks storing to slot s, ascending. φ ids are allocated in
+    // placement order (slots ascending, then worklist order), and the
+    // summary cache content-hashes the IR, so the order is part of the
+    // output and must be reproducible run to run.
+    let nblocks = func.blocks.len();
+    let mut defs: Vec<Vec<BlockId>> = vec![Vec::new(); slots.len()];
     for (bid, block) in func.iter_blocks() {
         for &iid in &block.insts {
-            if let InstKind::Store { ptr: Value::Inst(a), .. } = &func.inst(iid).kind {
-                if promotable.contains(a) {
-                    def_blocks.entry(*a).or_default().insert(bid);
+            if let InstKind::Store { ptr, .. } = &func.inst(iid).kind {
+                if let Some(s) = slot(ptr) {
+                    if defs[s].last() != Some(&bid) {
+                        defs[s].push(bid);
+                    }
                 }
             }
         }
     }
 
-    // phis[(block, alloca)] = phi inst id.
-    let mut phis: BTreeMap<(BlockId, InstId), InstId> = BTreeMap::new();
-    for (&alloca, defs) in &def_blocks {
-        let ty = match &func.inst(alloca).kind {
+    // phis[b] = (slot, φ) pairs placed in block b, slots ascending.
+    let mut phis: Vec<Vec<(usize, InstId)>> = vec![Vec::new(); nblocks];
+    // Per-block marks, stamped with the slot being placed.
+    let mut placed = vec![usize::MAX; nblocks];
+    let mut considered = vec![usize::MAX; nblocks];
+    let mut work: Vec<BlockId> = Vec::new();
+    for (s, def) in defs.iter().enumerate() {
+        if def.is_empty() {
+            continue;
+        }
+        let alloca = func.inst(slots[s]);
+        let ty = match &alloca.kind {
             InstKind::Alloca { ty, .. } => ty.clone(),
-            _ => unreachable!("promotable set only holds allocas"),
+            _ => unreachable!("slots only hold allocas"),
         };
-        let mut work: Vec<BlockId> = defs.iter().copied().collect();
-        let mut placed: HashSet<BlockId> = HashSet::new();
-        let mut considered: BTreeSet<BlockId> = defs.clone();
+        let span = alloca.span;
+        for &b in def {
+            considered[b.0 as usize] = s;
+        }
+        work.extend_from_slice(def);
         while let Some(b) = work.pop() {
             if !cfg.is_reachable(b) {
                 continue;
             }
             for &df in &dom.frontier[b.0 as usize] {
-                if placed.contains(&df) {
+                let d = df.0 as usize;
+                if placed[d] == s {
                     continue;
                 }
-                placed.insert(df);
+                placed[d] = s;
                 let phi_id = InstId(func.insts.len() as u32);
                 func.insts.push(Inst {
                     kind: InstKind::Phi { incoming: Vec::new() },
                     ty: ty.clone(),
-                    span: func.inst(alloca).span,
+                    span,
                 });
-                func.blocks[df.0 as usize].insts.insert(0, phi_id);
-                phis.insert((df, alloca), phi_id);
-                if considered.insert(df) {
+                phis[d].push((s, phi_id));
+                if considered[d] != s {
+                    considered[d] = s;
                     work.push(df);
                 }
             }
         }
     }
+    // Each block's φs go in front of its instructions, latest-placed first.
+    for (block, block_phis) in func.blocks.iter_mut().zip(&phis) {
+        if !block_phis.is_empty() {
+            block.insts.splice(0..0, block_phis.iter().rev().map(|&(_, phi)| phi));
+        }
+    }
 
     // ---- renaming walk ----------------------------------------------------
-    let mut stacks: HashMap<InstId, Vec<Value>> = HashMap::new();
-    for &a in &promotable {
-        stacks.insert(a, Vec::new());
-    }
-    // Replacement map for removed loads.
-    let mut replace: HashMap<InstId, Value> = HashMap::new();
-    // Instructions to delete from block lists.
-    let mut dead: HashSet<InstId> = HashSet::new();
-    for &a in &promotable {
-        dead.insert(a); // the alloca itself
+    let mut walk = Rename {
+        stacks: vec![Vec::new(); slots.len()],
+        replace: vec![None; func.insts.len()],
+        dead: vec![false; func.insts.len()],
+        undo: Vec::new(),
+    };
+    for &a in &slots {
+        walk.dead[a.0 as usize] = true; // the alloca itself
     }
 
-    // Iterative DFS over the dominator tree.
+    // Iterative DFS over the dominator tree. Each frame remembers how long
+    // the undo log was when its block was entered.
     struct Frame {
         block: BlockId,
         child_idx: usize,
-        pushed: Vec<InstId>, // allocas whose stacks were pushed in this frame
+        undo_mark: usize,
     }
     let entry = func.entry();
-    let mut frames = vec![Frame { block: entry, child_idx: 0, pushed: Vec::new() }];
-    rename_block(
-        func,
-        &cfg,
-        entry,
-        &promotable,
-        &phis,
-        &mut stacks,
-        &mut replace,
-        &mut dead,
-        &mut frames.last_mut().unwrap().pushed,
-    );
-
-    while !frames.is_empty() {
-        let top = frames.len() - 1;
-        let block = frames[top].block;
-        let idx = frames[top].child_idx;
-        let children = &dom.children[block.0 as usize];
-        if idx < children.len() {
-            frames[top].child_idx += 1;
-            let child = children[idx];
+    walk.block(func, &cfg, entry, &phis, &slot);
+    let mut frames = vec![Frame { block: entry, child_idx: 0, undo_mark: 0 }];
+    while let Some(top) = frames.last_mut() {
+        let children = &dom.children[top.block.0 as usize];
+        if top.child_idx < children.len() {
+            let child = children[top.child_idx];
+            top.child_idx += 1;
             if !cfg.is_reachable(child) {
                 continue;
             }
-            let mut pushed = Vec::new();
-            rename_block(
-                func,
-                &cfg,
-                child,
-                &promotable,
-                &phis,
-                &mut stacks,
-                &mut replace,
-                &mut dead,
-                &mut pushed,
-            );
-            frames.push(Frame { block: child, child_idx: 0, pushed });
+            let undo_mark = walk.undo.len();
+            walk.block(func, &cfg, child, &phis, &slot);
+            frames.push(Frame { block: child, child_idx: 0, undo_mark });
         } else {
-            // Pop: undo stack pushes.
-            let frame = frames.pop().unwrap();
-            for a in frame.pushed {
-                stacks.get_mut(&a).unwrap().pop();
+            // Pop: undo this block's stack pushes.
+            let frame = frames.pop().expect("the loop condition saw a frame");
+            for s in walk.undo.drain(frame.undo_mark..) {
+                walk.stacks[s].pop();
             }
         }
     }
 
     // ---- cleanup ----------------------------------------------------------
     // Remove dead instructions from block lists and rewrite any remaining
-    // operand references through the replacement map (phi incoming values
-    // were already resolved during renaming).
+    // operand references through the replacement map, following chains
+    // (phi incoming values were already resolved during renaming).
+    let Rename { replace, dead, .. } = walk;
+    let replaced = replace.iter().flatten().count();
     for block in &mut func.blocks {
-        block.insts.retain(|i| !dead.contains(i));
+        block.insts.retain(|i| !dead[i.0 as usize]);
     }
-    let resolve = |v: &Value, replace: &HashMap<InstId, Value>| -> Value {
-        let mut cur = v.clone();
+    let resolve = |op: &mut Value| {
         let mut guard = 0;
-        while let Value::Inst(id) = cur {
-            match replace.get(&id) {
+        while let Value::Inst(id) = *op {
+            match replace.get(id.0 as usize).and_then(Option::as_ref) {
                 Some(next) => {
-                    cur = next.clone();
+                    *op = next.clone();
                     guard += 1;
-                    if guard > replace.len() + 1 {
+                    if guard > replaced + 1 {
                         break;
                     }
                 }
                 None => break,
             }
         }
-        cur
     };
     for inst in &mut func.insts {
-        for op in inst.kind.operands_mut() {
-            *op = resolve(op, &replace);
-        }
+        inst.kind.for_each_operand_mut(resolve);
     }
     for block in &mut func.blocks {
-        for op in block.terminator.operands_mut() {
-            *op = resolve(op, &replace);
-        }
+        block.terminator.for_each_operand_mut(resolve);
     }
 
-    promotable.len()
+    slots.len()
 }
 
-/// Replaces bodies of unreachable blocks with empty `Unreachable` stubs so
-/// later passes can ignore them.
-fn clear_unreachable_blocks(func: &mut Function) {
-    let cfg = Cfg::build(func);
+/// Replaces bodies of blocks unreachable in `cfg` with empty `Unreachable`
+/// stubs so later passes can ignore them. Returns whether any terminator
+/// was replaced, i.e. whether `cfg`'s edges are now stale.
+fn clear_unreachable_blocks(func: &mut Function, cfg: &Cfg) -> bool {
+    let mut edges_changed = false;
     for (i, block) in func.blocks.iter_mut().enumerate() {
         if !cfg.is_reachable(BlockId(i as u32)) {
             block.insts.clear();
+            edges_changed |= !matches!(block.terminator, Terminator::Unreachable);
             block.terminator = Terminator::Unreachable;
         }
     }
+    edges_changed
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rename_block(
-    func: &mut Function,
-    cfg: &Cfg,
-    block: BlockId,
-    promotable: &HashSet<InstId>,
-    phis: &BTreeMap<(BlockId, InstId), InstId>,
-    stacks: &mut HashMap<InstId, Vec<Value>>,
-    replace: &mut HashMap<InstId, Value>,
-    dead: &mut HashSet<InstId>,
-    pushed: &mut Vec<InstId>,
-) {
-    // φ-defs first: they become the current value of their variable.
-    for (&(b, a), &phi) in phis.iter() {
-        if b == block {
-            stacks.get_mut(&a).unwrap().push(Value::Inst(phi));
-            pushed.push(a);
+/// State of the renaming walk over the dominator tree.
+struct Rename {
+    /// `stacks[s]` = reaching definitions of slot `s`, innermost last.
+    stacks: Vec<Vec<Value>>,
+    /// `replace[i]` = the value a removed load `%i` stands for.
+    replace: Vec<Option<Value>>,
+    /// `dead[i]` = `%i` is deleted from its block list.
+    dead: Vec<bool>,
+    /// Slots pushed onto `stacks`, in push order, for undoing on the way
+    /// back up the tree.
+    undo: Vec<usize>,
+}
+
+impl Rename {
+    /// Replaces `op` by the value of the removed load it names, if any
+    /// (one step, no chains).
+    fn rewrite(replace: &[Option<Value>], op: &mut Value) {
+        if let Value::Inst(id) = op {
+            if let Some(Some(v)) = replace.get(id.0 as usize) {
+                *op = v.clone();
+            }
         }
     }
 
-    let inst_ids: Vec<InstId> = func.blocks[block.0 as usize].insts.clone();
-    for iid in inst_ids {
-        // Rewrite operands through the replacement map first.
-        let kind = &mut func.insts[iid.0 as usize].kind;
-        for op in kind.operands_mut() {
-            if let Value::Inst(id) = op {
-                if let Some(v) = replace.get(id) {
-                    *op = v.clone();
+    /// The current value of slot `s`, or the undefined placeholder of `ty`.
+    fn current(&self, s: usize, ty: &Type) -> Value {
+        self.stacks[s].last().cloned().unwrap_or_else(|| undef_value(ty))
+    }
+
+    /// Renames `block`: pushes its φ-defs and stores, replaces its loads,
+    /// and fills the φ incoming entries of its successors.
+    fn block(
+        &mut self,
+        func: &mut Function,
+        cfg: &Cfg,
+        block: BlockId,
+        phis: &[Vec<(usize, InstId)>],
+        slot: &impl Fn(&Value) -> Option<usize>,
+    ) {
+        // φ-defs first: they become the current value of their variable.
+        for &(s, phi) in &phis[block.0 as usize] {
+            self.stacks[s].push(Value::Inst(phi));
+            self.undo.push(s);
+        }
+
+        let Function { blocks, insts, .. } = func;
+        let bb = &mut blocks[block.0 as usize];
+        for &iid in &bb.insts {
+            let inst = &mut insts[iid.0 as usize];
+            // Rewrite operands through the replacement map first.
+            inst.kind.for_each_operand_mut(|op| Rename::rewrite(&self.replace, op));
+            match &inst.kind {
+                InstKind::Load { ptr } => {
+                    if let Some(s) = slot(ptr) {
+                        let current = self.current(s, &inst.ty);
+                        self.replace[iid.0 as usize] = Some(current);
+                        self.dead[iid.0 as usize] = true;
+                    }
                 }
-            }
-        }
-        match &func.insts[iid.0 as usize].kind {
-            InstKind::Load { ptr: Value::Inst(a) } if promotable.contains(a) => {
-                let current = stacks[a]
-                    .last()
-                    .cloned()
-                    .unwrap_or_else(|| undef_value(&func.insts[iid.0 as usize].ty));
-                replace.insert(iid, current);
-                dead.insert(iid);
-            }
-            InstKind::Store { ptr: Value::Inst(a), value } if promotable.contains(a) => {
-                let a = *a;
-                let v = value.clone();
-                stacks.get_mut(&a).unwrap().push(v);
-                pushed.push(a);
-                dead.insert(iid);
-            }
-            _ => {}
-        }
-    }
-
-    // Rewrite terminator operands.
-    {
-        let term = &mut func.blocks[block.0 as usize].terminator;
-        for op in term.operands_mut() {
-            if let Value::Inst(id) = op {
-                if let Some(v) = replace.get(id) {
-                    *op = v.clone();
+                InstKind::Store { ptr, value } => {
+                    if let Some(s) = slot(ptr) {
+                        self.stacks[s].push(value.clone());
+                        self.undo.push(s);
+                        self.dead[iid.0 as usize] = true;
+                    }
                 }
+                _ => {}
             }
         }
-    }
+        bb.terminator.for_each_operand_mut(|op| Rename::rewrite(&self.replace, op));
 
-    // Fill φ incoming in successors with our current values.
-    for &succ in cfg.succs_of(block) {
-        for (&(b, a), &phi) in phis.iter() {
-            if b == succ {
-                let current = stacks[&a]
-                    .last()
-                    .cloned()
-                    .unwrap_or_else(|| undef_value(&func.insts[phi.0 as usize].ty));
-                if let InstKind::Phi { incoming } = &mut func.insts[phi.0 as usize].kind {
+        // Fill φ incoming in successors with our current values.
+        for &succ in cfg.succs_of(block) {
+            for &(s, phi) in &phis[succ.0 as usize] {
+                let phi = &mut insts[phi.0 as usize];
+                let current = self.current(s, &phi.ty);
+                if let InstKind::Phi { incoming } = &mut phi.kind {
                     incoming.push((block, current));
                 }
             }
@@ -301,44 +328,45 @@ fn undef_value(ty: &Type) -> Value {
     }
 }
 
-/// Allocas whose address is only used by loads and stores (as the pointer).
-fn find_promotable(func: &Function) -> HashSet<InstId> {
-    let mut allocas: HashSet<InstId> = HashSet::new();
+/// Allocas whose address is only used by loads and stores (as the
+/// pointer), numbered as slots in ascending `InstId` order. Returns the
+/// instruction → slot table (`NO_SLOT` for everything else) and the slots'
+/// allocas.
+fn find_promotable(func: &Function) -> (Vec<u32>, Vec<InstId>) {
+    let mut candidate = vec![false; func.insts.len()];
     for (iid, inst) in func.iter_insts() {
         if let InstKind::Alloca { ty, .. } = &inst.kind {
             if ty.is_scalar() {
-                allocas.insert(iid);
+                candidate[iid.0 as usize] = true;
             }
         }
     }
+    let mut disqualify = |v: &Value| {
+        if let Value::Inst(id) = v {
+            if let Some(c) = candidate.get_mut(id.0 as usize) {
+                *c = false;
+            }
+        }
+    };
     // Disqualify allocas used outside load/store-pointer position.
     for (_, inst) in func.iter_insts() {
         match &inst.kind {
             InstKind::Load { ptr: Value::Inst(_) } => {}
-            InstKind::Store { ptr: Value::Inst(p), value } => {
-                // Storing the *address itself* somewhere disqualifies it.
-                if let Value::Inst(v) = value {
-                    allocas.remove(v);
-                }
-                let _ = p;
-            }
-            other => {
-                for op in other.operands() {
-                    if let Value::Inst(id) = op {
-                        allocas.remove(id);
-                    }
-                }
-            }
+            // Storing the *address itself* somewhere disqualifies it.
+            InstKind::Store { ptr: Value::Inst(_), value } => disqualify(value),
+            other => other.for_each_operand(&mut disqualify),
         }
     }
     for (_, block) in func.iter_blocks() {
-        for op in block.terminator.operands() {
-            if let Value::Inst(id) = op {
-                allocas.remove(id);
-            }
-        }
+        block.terminator.for_each_operand(&mut disqualify);
     }
-    allocas
+    let mut slot_of = vec![NO_SLOT; func.insts.len()];
+    let mut slots = Vec::new();
+    for (i, _) in candidate.iter().enumerate().filter(|(_, &c)| c) {
+        slot_of[i] = slots.len() as u32;
+        slots.push(InstId(i as u32));
+    }
+    (slot_of, slots)
 }
 
 #[cfg(test)]
@@ -499,5 +527,173 @@ mod tests {
         let f = func(&m, "main");
         // All scalars (shmStart, output) promoted.
         assert_eq!(count_kind(f, |k| matches!(k, InstKind::Alloca { .. })), 0);
+    }
+
+    // ---- order-exact cases on hand-built IR -------------------------------
+    //
+    // The expected texts pin `InstId` numbering, φ order within a block and
+    // φ incoming order. The summary cache and the store hash this IR, so a
+    // change to any of them invalidates every stored summary.
+
+    use crate::print::print_function;
+    use safeflow_syntax::span::Span;
+
+    fn inst(kind: InstKind, ty: Type) -> Inst {
+        Inst { kind, ty, span: Span::dummy() }
+    }
+
+    fn alloca(ty: Type, name: &str) -> Inst {
+        let addr = ty.ptr_to();
+        inst(InstKind::Alloca { ty, name: name.into() }, addr)
+    }
+
+    fn load(slot: u32, ty: Type) -> Inst {
+        inst(InstKind::Load { ptr: v(slot) }, ty)
+    }
+
+    fn store(value: Value, slot: u32) -> Inst {
+        inst(InstKind::Store { ptr: v(slot), value }, Type::Void)
+    }
+
+    fn add(lhs: Value, rhs: Value, ty: Type) -> Inst {
+        inst(InstKind::Bin { op: BinOp::Add, lhs, rhs }, ty)
+    }
+
+    fn v(id: u32) -> Value {
+        Value::Inst(InstId(id))
+    }
+
+    fn condbr(cond: Value, then_bb: u32, else_bb: u32) -> Terminator {
+        Terminator::CondBr { cond, then_bb: BlockId(then_bb), else_bb: BlockId(else_bb) }
+    }
+
+    /// Builds `f(%arg0, %arg1)` from `(insts, terminator)` blocks, promotes
+    /// it, and prints it. Every instruction goes into the arena in listing
+    /// order, so the `n`-th instruction listed is `%n`.
+    fn promote_hand_built(blocks: Vec<(Vec<Inst>, Terminator)>) -> (Function, String) {
+        let mut insts = Vec::new();
+        let mut bbs = Vec::new();
+        for (i, (body, terminator)) in blocks.into_iter().enumerate() {
+            let first = insts.len() as u32;
+            let ids = (first..first + body.len() as u32).map(InstId).collect();
+            insts.extend(body);
+            bbs.push(BasicBlock { insts: ids, terminator, name: format!("b{i}") });
+        }
+        let param = |name: &str| IrParam { name: name.into(), ty: Type::int32() };
+        let mut m = Module::new();
+        let id = m.add_function(Function {
+            name: "f".into(),
+            ret: Type::int32(),
+            params: vec![param("p"), param("q")],
+            varargs: false,
+            insts,
+            blocks: bbs,
+            annotations: vec![],
+            is_definition: true,
+            span: Span::dummy(),
+        });
+        promote_module(&mut m);
+        let text = print_function(&m, id);
+        (m.functions.swap_remove(id.0 as usize), text)
+    }
+
+    #[test]
+    fn two_slots_joining_in_one_block_keep_phi_and_incoming_order() {
+        let int = Type::int32;
+        let (_, text) = promote_hand_built(vec![
+            (vec![alloca(int(), "a"), alloca(int(), "b")], condbr(Value::Param(0), 1, 2)),
+            (vec![store(Value::i32(1), 0), store(Value::i32(2), 1)], Terminator::Br(BlockId(3))),
+            (vec![store(Value::i32(3), 0), store(Value::i32(4), 1)], Terminator::Br(BlockId(3))),
+            (
+                vec![load(0, int()), load(1, int()), add(v(6), v(7), int())],
+                Terminator::Ret(Some(v(8))),
+            ),
+        ]);
+        // `a`'s φ is placed first (%9) and so ends up second in the block.
+        assert_eq!(
+            text,
+            "fn @f(%arg0: i32, %arg1: i32) -> i32 {\n\
+             bb0: ; b0\n  condbr %arg0, bb1, bb2\n\
+             bb1: ; b1\n  br bb3\n\
+             bb2: ; b2\n  br bb3\n\
+             bb3: ; b3\n  %10 = phi [bb1: 2], [bb2: 4]\n  %9 = phi [bb1: 1], [bb2: 3]\n  \
+             %8 = add %9, %10\n  ret %8\n\
+             }\n"
+        );
+    }
+
+    #[test]
+    fn condbr_with_both_edges_to_one_block_gives_two_incoming_entries() {
+        let int = Type::int32;
+        let (_, text) = promote_hand_built(vec![
+            (vec![alloca(int(), "a")], condbr(Value::Param(0), 1, 2)),
+            (vec![store(Value::i32(1), 0)], condbr(Value::Param(1), 3, 3)),
+            (vec![store(Value::i32(2), 0)], Terminator::Br(BlockId(3))),
+            (vec![load(0, int())], Terminator::Ret(Some(v(3)))),
+        ]);
+        assert_eq!(
+            text,
+            "fn @f(%arg0: i32, %arg1: i32) -> i32 {\n\
+             bb0: ; b0\n  condbr %arg0, bb1, bb2\n\
+             bb1: ; b1\n  condbr %arg1, bb3, bb3\n\
+             bb2: ; b2\n  br bb3\n\
+             bb3: ; b3\n  %4 = phi [bb1: 1], [bb1: 1], [bb2: 2]\n  ret %4\n\
+             }\n"
+        );
+    }
+
+    #[test]
+    fn unreachable_pred_contributes_no_incoming_and_becomes_a_stub() {
+        let int = Type::int32;
+        let (f, text) = promote_hand_built(vec![
+            (vec![alloca(int(), "a"), store(Value::i32(1), 0)], condbr(Value::Param(0), 1, 2)),
+            (vec![store(Value::i32(2), 0)], Terminator::Br(BlockId(2))),
+            (vec![load(0, int())], Terminator::Ret(Some(v(3)))),
+            // Unreachable, yet a predecessor of bb2 until it is cleared.
+            (vec![store(Value::i32(3), 0)], Terminator::Br(BlockId(2))),
+        ]);
+        assert_eq!(
+            text,
+            "fn @f(%arg0: i32, %arg1: i32) -> i32 {\n\
+             bb0: ; b0\n  condbr %arg0, bb1, bb2\n\
+             bb1: ; b1\n  br bb2\n\
+             bb2: ; b2\n  %5 = phi [bb0: 1], [bb1: 2]\n  ret %5\n\
+             bb3: ; b3\n  unreachable\n\
+             }\n"
+        );
+        assert!(f.blocks[3].insts.is_empty());
+    }
+
+    #[test]
+    fn loop_use_before_def_reads_an_undef_of_the_slot_type() {
+        let float = Type::f32;
+        let (f, text) = promote_hand_built(vec![
+            (vec![alloca(float(), "x")], Terminator::Br(BlockId(1))),
+            (
+                vec![
+                    load(0, float()),
+                    add(v(1), Value::ConstFloat(1.0, float()), float()),
+                    store(v(2), 0),
+                ],
+                condbr(Value::Param(0), 1, 2),
+            ),
+            (vec![load(0, float())], Terminator::Ret(Some(v(4)))),
+        ]);
+        assert_eq!(
+            text,
+            "fn @f(%arg0: i32, %arg1: i32) -> i32 {\n\
+             bb0: ; b0\n  br bb1\n\
+             bb1: ; b1\n  %5 = phi [bb0: 0.0], [bb1: %2]\n  %2 = add %5, 1.0\n  \
+             condbr %arg0, bb1, bb2\n\
+             bb2: ; b2\n  ret %2\n\
+             }\n"
+        );
+        assert_eq!(
+            f.inst(InstId(5)).kind,
+            InstKind::Phi {
+                incoming: vec![(BlockId(0), Value::ConstFloat(0.0, float())), (BlockId(1), v(2))]
+            }
+        );
+        assert_eq!(f.inst(InstId(5)).ty, float());
     }
 }
